@@ -14,13 +14,13 @@ import (
 
 	"github.com/memheatmap/mhm/internal/core"
 	"github.com/memheatmap/mhm/internal/experiments"
+	"github.com/memheatmap/mhm/internal/fleet"
 	"github.com/memheatmap/mhm/internal/gmm"
 	"github.com/memheatmap/mhm/internal/heatmap"
 	"github.com/memheatmap/mhm/internal/kernelmap"
 	"github.com/memheatmap/mhm/internal/memometer"
 	"github.com/memheatmap/mhm/internal/obs"
 	"github.com/memheatmap/mhm/internal/pca"
-	"github.com/memheatmap/mhm/internal/pipeline"
 	"github.com/memheatmap/mhm/internal/trace"
 	"github.com/memheatmap/mhm/internal/workload"
 )
@@ -228,23 +228,36 @@ func BenchmarkScoreBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedPipeline times the multi-stream online scorer end to
-// end: submit, queue, shard worker scoring, record append. ns/op is per
-// interval across 4 concurrent streams.
-func BenchmarkShardedPipeline(b *testing.B) {
+// BenchmarkFleetController times the live multi-stream scorer end to
+// end: submit, admission, queue, shard worker scoring, record append.
+// ns/op is per interval across four streams per shard. Submit sheds
+// instead of blocking, so admission is sized to hold all b.N
+// submissions and a shed interval fails the benchmark.
+func BenchmarkFleetController(b *testing.B) {
 	fixtures(b)
-	const streams = 4
-	sh, err := pipeline.NewSharded(fixDet, streams, pipeline.ShardedConfig{})
+	shards := runtime.GOMAXPROCS(0)
+	streams := 4 * shards
+	c, err := fleet.New(fixDet, streams, fleet.Config{
+		Shards:        shards,
+		QueueDepth:    b.N,
+		MaxPerStream:  b.N,
+		HighWaterFrac: 1,
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer c.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := sh.Submit(i%streams, fixMaps[i%len(fixMaps)]); err != nil {
+		ok, err := c.Submit(i%streams, fixMaps[i%len(fixMaps)])
+		if err != nil {
 			b.Fatal(err)
 		}
+		if !ok {
+			b.Fatalf("submission %d shed", i)
+		}
 	}
-	sh.Close()
+	c.Close()
 }
 
 // BenchmarkSessionSimulation times the monitored-core substrate: one

@@ -119,8 +119,8 @@ type Detector struct {
 	scoreHist *obs.Histogram
 
 	// scoring is the fused engine + pooled scratch (see scoring.go). A
-	// pointer so Detector values stay copyable; nil (hand-assembled
-	// detectors) falls back to the allocating staged path.
+	// pointer so Detector values stay copyable; nil only in
+	// hand-assembled literals, whose scoring methods return ErrConfig.
 	scoring *scoring
 }
 
@@ -170,8 +170,10 @@ func Train(trainSet, calib []*heatmap.HeatMap, cfg Config) (*Detector, error) {
 		return nil, fmt.Errorf("core: GMM training: %w", err)
 	}
 
-	d := &Detector{Region: region, PCA: pcaModel, GMM: gmmModel}
-	d.scoring = newScoring(region.Cells(), pcaModel, gmmModel)
+	d, err := NewDetector(region, pcaModel, gmmModel, nil)
+	if err != nil {
+		return nil, err
+	}
 
 	// Calibrate thresholds on the held-out normal set, batched through
 	// the fused engine.
@@ -221,31 +223,28 @@ func Train(trainSet, calib []*heatmap.HeatMap, cfg Config) (*Detector, error) {
 }
 
 // NewDetector assembles a detector from already-trained models with the
-// fused scoring runtime installed — the constructor behind the refresh
-// loop, which re-derives its models incrementally instead of calling
-// Train. Thresholds are the caller's (typically recalibrated on a
-// sliding held-out window) and are sorted by P here; they may be empty
-// when only raw densities are needed. The models are referenced, not
+// fused scoring runtime installed — the constructor Train and Load
+// share, and the one behind the refresh loop, which re-derives its
+// models incrementally instead of calling Train. It returns ErrConfig
+// when the models do not fuse. Thresholds are the caller's (typically
+// recalibrated on a sliding held-out window) and are sorted by P here;
+// they may be empty when only raw densities are needed. The models are referenced, not
 // copied, and must not be mutated afterwards.
 func NewDetector(region heatmap.Def, pcaModel *pca.Model, gmmModel *gmm.Model, thresholds []Threshold) (*Detector, error) {
 	if pcaModel == nil || gmmModel == nil {
 		return nil, fmt.Errorf("core: NewDetector: nil model: %w", ErrConfig)
 	}
-	l, lp := pcaModel.Dim()
-	if l != region.Cells() {
+	if l, _ := pcaModel.Dim(); l != region.Cells() {
 		return nil, fmt.Errorf("core: NewDetector: %d eigenmemory dims for a %d-cell region: %w", l, region.Cells(), ErrRegionMismatch)
 	}
-	if d := gmmModel.Dim(); d != lp {
-		return nil, fmt.Errorf("core: NewDetector: mixture dim %d, basis %d: %w", d, lp, ErrConfig)
+	rt, err := newScoring(pcaModel, gmmModel)
+	if err != nil {
+		return nil, err
 	}
-	d := &Detector{Region: region, PCA: pcaModel, GMM: gmmModel}
+	d := &Detector{Region: region, PCA: pcaModel, GMM: gmmModel, scoring: rt}
 	if len(thresholds) > 0 {
 		d.Thresholds = append([]Threshold(nil), thresholds...)
 		sort.Slice(d.Thresholds, func(i, j int) bool { return d.Thresholds[i].P < d.Thresholds[j].P })
-	}
-	d.scoring = newScoring(region.Cells(), pcaModel, gmmModel)
-	if d.scoring == nil {
-		return nil, fmt.Errorf("core: NewDetector: models do not fuse (covariance not SPD?): %w", ErrConfig)
 	}
 	return d, nil
 }
@@ -282,19 +281,19 @@ func projectAll(m *pca.Model, vectors [][]float64, workers int) ([][]float64, er
 }
 
 // Residual returns the MHM's reconstruction RMS error — its distance
-// from the learned memory subspace. With a scoring runtime (detectors
-// from Train or Load) the per-call path is allocation-free.
+// from the learned memory subspace. Allocation-free per call.
 func (d *Detector) Residual(m *heatmap.HeatMap) (float64, error) {
+	rt, err := d.runtime()
+	if err != nil {
+		return 0, err
+	}
 	if m.Def != d.Region {
 		return 0, fmt.Errorf("core: got %+v, trained on %+v: %w", m.Def, d.Region, ErrRegionMismatch)
 	}
-	if rt := d.scoring; rt != nil {
-		s := rt.pool.Get().(*detScratch)
-		defer rt.pool.Put(s)
-		m.VectorInto(s.vbuf)
-		return d.PCA.ReconstructionErrorInto(s.w, s.rec, s.vbuf)
-	}
-	return d.PCA.ReconstructionError(m.Vector())
+	s := rt.pool.Get().(*detScratch)
+	defer rt.pool.Put(s)
+	m.VectorInto(s.vbuf)
+	return d.PCA.ReconstructionErrorInto(s.w, s.rec, s.vbuf)
 }
 
 // ResidualThreshold returns the residual bound for a calibrated quantile.
@@ -337,12 +336,12 @@ func (d *Detector) Dim() (int, int) { return d.PCA.Dim() }
 // evaluate the mixture log density (the y-axis of the paper's Figs.
 // 7/8/10).
 func (d *Detector) LogDensity(m *heatmap.HeatMap) (float64, error) {
+	rt, err := d.runtime()
+	if err != nil {
+		return 0, err
+	}
 	if m.Def != d.Region {
 		return 0, fmt.Errorf("core: got %+v, trained on %+v: %w", m.Def, d.Region, ErrRegionMismatch)
-	}
-	rt := d.scoring
-	if rt == nil {
-		return d.LogDensityVector(m.Vector())
 	}
 	s := rt.pool.Get().(*detScratch)
 	defer rt.pool.Put(s)
@@ -350,22 +349,12 @@ func (d *Detector) LogDensity(m *heatmap.HeatMap) (float64, error) {
 	return d.scoreVector(s, s.vbuf)
 }
 
-// LogDensityVector scores a raw MHM vector (length L). With a scoring
-// runtime (detectors from Train or Load) this is allocation-free and
-// safe for concurrent use; scores are bit-identical either way.
+// LogDensityVector scores a raw MHM vector (length L). Allocation-free
+// and safe for concurrent use.
 func (d *Detector) LogDensityVector(v []float64) (float64, error) {
-	rt := d.scoring
-	if rt == nil {
-		// Hand-assembled detector: staged, allocating path.
-		sw := d.projHist.Start()
-		w, err := d.PCA.Project(v)
-		sw = sw.Handoff(d.scoreHist)
-		if err != nil {
-			return 0, err
-		}
-		lp, err := d.GMM.LogProb(w)
-		sw.Stop()
-		return lp, err
+	rt, err := d.runtime()
+	if err != nil {
+		return 0, err
 	}
 	s := rt.pool.Get().(*detScratch)
 	defer rt.pool.Put(s)
@@ -553,30 +542,30 @@ func (d *Detector) Save(w io.Writer) error {
 	})
 }
 
-// Load reads a detector produced by Save.
+// Load reads a detector produced by Save. Every failure wraps ErrConfig
+// (or ErrRegionMismatch for a basis that does not fit the region), so a
+// model file that does not decode, validate or fuse is rejected by its
+// error alone.
 func Load(r io.Reader) (*Detector, error) {
 	var dj detectorJSON
 	if err := json.NewDecoder(r).Decode(&dj); err != nil {
-		return nil, fmt.Errorf("core: decode detector: %w", err)
+		return nil, fmt.Errorf("core: decode detector: %w: %w", ErrConfig, err)
 	}
 	pcaModel, err := pca.Load(bytes.NewReader(dj.PCA))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: load eigenmemories: %w: %w", ErrConfig, err)
 	}
 	gmmModel, err := gmm.Load(bytes.NewReader(dj.GMM))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: load mixture: %w: %w", ErrConfig, err)
 	}
 	if err := dj.Region.Validate(); err != nil {
+		return nil, fmt.Errorf("core: load region: %w: %w", ErrConfig, err)
+	}
+	d, err := NewDetector(dj.Region, pcaModel, gmmModel, dj.Thresholds)
+	if err != nil {
 		return nil, err
 	}
-	d := &Detector{
-		Region:             dj.Region,
-		PCA:                pcaModel,
-		GMM:                gmmModel,
-		Thresholds:         dj.Thresholds,
-		ResidualThresholds: dj.ResidualThresholds,
-	}
-	d.scoring = newScoring(dj.Region.Cells(), pcaModel, gmmModel)
+	d.ResidualThresholds = dj.ResidualThresholds
 	return d, nil
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"github.com/memheatmap/mhm/internal/gmm"
@@ -69,7 +68,7 @@ func anomalyMap(rng *rand.Rand) *heatmap.HeatMap {
 	return m
 }
 
-func trainTestDetector(t *testing.T) (*Detector, *rand.Rand) {
+func trainTestDetector(t testing.TB) (*Detector, *rand.Rand) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
 	var train, calib []*heatmap.HeatMap
@@ -254,11 +253,18 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(strings.NewReader("nope")); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := Load(strings.NewReader(`{"region":{},"pca":{},"gmm":[]}`)); err == nil {
-		t.Error("malformed accepted")
+	_, dj := savedModel(t)
+	for name, in := range map[string][]byte{
+		"garbage":   []byte("nope"),
+		"malformed": []byte(`{"region":{},"pca":{},"gmm":[]}`),
+		// A mixture that does not fuse with the eigenmemories must be
+		// rejected, not loaded without a scoring engine.
+		"non-SPD": withMixture(t, dj, nonSPD),
+		"shrunk":  withMixture(t, dj, shrunk),
+	} {
+		if _, err := Load(bytes.NewReader(in)); !errors.Is(err, ErrConfig) {
+			t.Errorf("%s: Load error %v, want ErrConfig", name, err)
+		}
 	}
 }
 

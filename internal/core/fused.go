@@ -33,9 +33,8 @@ type IntervalScore struct {
 // the TraceScorer and reused, so the steady state is allocation-free.
 //
 // A TraceScorer serves one goroutine at a time. For multi-stream
-// fan-out, give each stream its own (they share the detector's
-// immutable engine), or feed sparse intervals to pipeline.Sharded via
-// SubmitSparse.
+// fan-out, give each stream its own: they share the detector's
+// immutable engine.
 type TraceScorer struct {
 	dev *memometer.Device
 	sc  *score.Scorer

@@ -14,16 +14,18 @@ import (
 
 var errMismatch = errors.New("concurrent score differs from serial score")
 
-// stagedCopy strips the scoring runtime so the copy scores through the
-// legacy staged pca.Project + gmm.LogProb path.
-func stagedCopy(d *Detector) *Detector {
-	c := *d
-	c.scoring = nil
-	return &c
+// stagedLogDensity is the test oracle for the fused engine: the
+// allocating staged pca.Project + gmm.LogProb evaluation of Eqs. 1-2.
+func stagedLogDensity(d *Detector, v []float64) (float64, error) {
+	w, err := d.PCA.Project(v)
+	if err != nil {
+		return 0, err
+	}
+	return d.GMM.LogProb(w)
 }
 
 // TestFusedMatchesStagedDetector is the detector-level acceptance bound:
-// the fused engine must reproduce the staged LogDensityVector within
+// the fused engine must reproduce the staged oracle within
 // 1e-12 on hundreds of held-out vectors (it is built to be
 // bit-identical, which is also what keeps calibrated θ_p stable).
 func TestFusedMatchesStagedDetector(t *testing.T) {
@@ -31,14 +33,13 @@ func TestFusedMatchesStagedDetector(t *testing.T) {
 	if d.scoring == nil {
 		t.Fatal("trained detector has no scoring runtime")
 	}
-	staged := stagedCopy(d)
 	for i := 0; i < 600; i++ {
 		var m = patternMap(rng, i)
 		if i%5 == 0 {
 			m = anomalyMap(rng)
 		}
 		v := m.Vector()
-		want, err := staged.LogDensityVector(v)
+		want, err := stagedLogDensity(d, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,17 +140,30 @@ func TestScoreEngineAfterTrainAndLoad(t *testing.T) {
 		t.Fatalf("loaded detector scores %v, trained %v", got, want)
 	}
 
-	// A hand-assembled detector still works through the fallback.
+	// A hand-assembled detector has no engine: every scoring entry point
+	// reports ErrConfig instead of dereferencing nil.
 	bare := &Detector{Region: d.Region, PCA: d.PCA, GMM: d.GMM, Thresholds: d.Thresholds}
-	if _, err := bare.ScoreEngine(); err != nil {
-		t.Fatalf("bare ScoreEngine: %v", err)
+	if _, err := bare.ScoreEngine(); !errors.Is(err, ErrConfig) {
+		t.Errorf("bare ScoreEngine: %v, want ErrConfig", err)
 	}
-	got, err = bare.LogDensity(m)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := bare.LogDensity(m); !errors.Is(err, ErrConfig) {
+		t.Errorf("bare LogDensity: %v, want ErrConfig", err)
 	}
-	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("bare detector scores %v, trained %v", got, want)
+	if _, err := bare.LogDensityVector(m.Vector()); !errors.Is(err, ErrConfig) {
+		t.Errorf("bare LogDensityVector: %v, want ErrConfig", err)
+	}
+	if _, err := bare.Residual(m); !errors.Is(err, ErrConfig) {
+		t.Errorf("bare Residual: %v, want ErrConfig", err)
+	}
+	if err := bare.LogDensityBatch(make([]float64, 1), [][]float64{m.Vector()}); !errors.Is(err, ErrConfig) {
+		t.Errorf("bare LogDensityBatch: %v, want ErrConfig", err)
+	}
+	empty := &Detector{}
+	if _, err := empty.LogDensity(m); !errors.Is(err, ErrConfig) {
+		t.Errorf("zero Detector LogDensity: %v, want ErrConfig", err)
+	}
+	if _, err := empty.Residual(m); !errors.Is(err, ErrConfig) {
+		t.Errorf("zero Detector Residual: %v, want ErrConfig", err)
 	}
 }
 
@@ -202,11 +216,11 @@ func TestConcurrentScoringConsistent(t *testing.T) {
 // TestResidualAllocationFree: the residual check shares the pooled
 // scratch with scoring, so per-interval residual monitoring stays
 // allocation-free, and the pooled path reproduces the allocating
-// fallback bit for bit.
+// pca.ReconstructionError bit for bit.
 func TestResidualAllocationFree(t *testing.T) {
 	d, rng := trainTestDetector(t)
 	m := patternMap(rng, 0)
-	want, err := stagedCopy(d).Residual(m)
+	want, err := d.PCA.ReconstructionError(m.Vector())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"github.com/memheatmap/mhm/internal/core"
+	"github.com/memheatmap/mhm/internal/fleet"
 	"github.com/memheatmap/mhm/internal/heatmap"
-	"github.com/memheatmap/mhm/internal/pipeline"
 )
 
 // ScoringRow is one mode of the scoring-throughput experiment.
@@ -26,7 +26,7 @@ type ScoringRow struct {
 // ScoringResult compares the scoring engine's execution modes on the
 // same classification workload: the single-vector loop (the paper's
 // per-interval deployment), the blocked B=64 batch kernel (offline
-// sweeps), and the sharded multi-stream scorer (N monitored systems).
+// sweeps), and the live fleet controller (N monitored systems).
 type ScoringResult struct {
 	L, LPrime, J    int
 	Batch           int
@@ -114,33 +114,43 @@ func (l *Lab) ScoringThroughput(det *core.Detector, seedBase int64, repeats int)
 		Speedup: singleMicros / batchMicros,
 	})
 
-	// Mode 3: the sharded multi-stream scorer, one stream per worker.
-	streams := runtime.GOMAXPROCS(0)
-	if streams > 8 {
-		streams = 8
+	// Mode 3: the live fleet controller, four streams per shard so the
+	// jump-hash routing spreads the load evenly. Submit sheds instead of
+	// blocking, so admission is sized to hold every submission.
+	shards := runtime.GOMAXPROCS(0)
+	if shards > 8 {
+		shards = 8
 	}
-	if streams < 2 {
-		streams = 2
-	}
-	sh, err := pipeline.NewSharded(det, streams, pipeline.ShardedConfig{
-		Quantile: l.Scale.Quantiles[len(l.Scale.Quantiles)-1],
+	streams := 4 * shards
+	total := repeats * len(maps)
+	c, err := fleet.New(det, streams, fleet.Config{
+		Shards:        shards,
+		QueueDepth:    total,
+		MaxPerStream:  total,
+		HighWaterFrac: 1,
+		Quantile:      l.Scale.Quantiles[len(l.Scale.Quantiles)-1],
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.Streams, res.Shards = sh.Streams(), sh.Shards()
+	defer c.Close() // idempotent; stops the workers on the error paths
+	res.Streams, res.Shards = c.Streams(), c.Shards()
 	start = time.Now()
 	for r := 0; r < repeats; r++ {
 		for i, m := range maps {
-			if err := sh.Submit(i%streams, m); err != nil {
+			ok, err := c.Submit(i%streams, m)
+			if err != nil {
 				return nil, err
+			}
+			if !ok {
+				return nil, fmt.Errorf("experiments: scoring: stream %d interval shed: %w", i%streams, ErrExperiment)
 			}
 		}
 	}
-	sh.Close()
-	shardMicros := microsPer(start, repeats*len(maps))
+	c.Close()
+	shardMicros := microsPer(start, total)
 	res.Rows = append(res.Rows, ScoringRow{
-		Mode: "sharded", Intervals: repeats * len(maps), PerMHMMicros: shardMicros,
+		Mode: "sharded", Intervals: total, PerMHMMicros: shardMicros,
 		Speedup: singleMicros / shardMicros,
 	})
 	return res, nil

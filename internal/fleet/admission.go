@@ -1,11 +1,13 @@
-// Admission control for the fleet controller. The sharded pipeline
-// answers overload with back-pressure (Submit blocks); a fleet serving
-// 100k independent device streams cannot let one slow shard stall every
-// monitor, so the controller sheds instead — and it sheds fairly per
-// stream, not per shard: a stream that already has its share of work in
-// flight is rejected before an idle stream ever is, so a hot device
-// cannot starve the quiet ones that share its shard.
+// Admission control for the fleet controller. A blocking Submit would
+// answer overload with back-pressure; a fleet serving 100k independent
+// device streams cannot let one slow shard stall every monitor, so the
+// controller sheds instead — and it sheds fairly per stream, not per
+// shard: a stream that already has its share of work in flight is
+// rejected before an idle stream ever is, so a hot device cannot starve
+// the quiet ones that share its shard.
 package fleet
+
+import "fmt"
 
 // Shed reasons, recorded in the decision trace and the shed counter.
 // Ordered by severity: queue-full is a hard limit, stream-cap and
@@ -56,4 +58,33 @@ func highWaterMark(qcap int, frac float64) int {
 		hw = qcap
 	}
 	return hw
+}
+
+// fillAdmission applies the admission defaults Config and SimConfig
+// share — queue depth 128, MaxPerStream 4, high water at 0.75 of the
+// queue, threshold quantile 0.01 (θ1) — and rejects negative depths and
+// caps and a high-water fraction outside [0, 1].
+func fillAdmission(queueDepth, maxPerStream *int, highWaterFrac, quantile *float64) error {
+	if *queueDepth == 0 {
+		*queueDepth = 128
+	}
+	if *queueDepth < 0 {
+		return fmt.Errorf("fleet: queue depth %d: %w", *queueDepth, ErrConfig)
+	}
+	if *maxPerStream == 0 {
+		*maxPerStream = 4
+	}
+	if *maxPerStream < 0 {
+		return fmt.Errorf("fleet: per-stream cap %d: %w", *maxPerStream, ErrConfig)
+	}
+	if *highWaterFrac == 0 {
+		*highWaterFrac = 0.75
+	}
+	if *highWaterFrac < 0 || *highWaterFrac > 1 {
+		return fmt.Errorf("fleet: high-water fraction %g: %w", *highWaterFrac, ErrConfig)
+	}
+	if *quantile == 0 {
+		*quantile = 0.01
+	}
+	return nil
 }

@@ -1,8 +1,8 @@
 // Package fleet is the fleet-scale detection control plane: it serves
 // the paper's per-device memory-heat-map detection for up to 100k+
-// independent device streams. Where pipeline.Sharded proved the
-// stream→shard affinity and back-pressure mechanics for one fixed pool,
-// the fleet controller adds the cluster-shaped concerns of a serving
+// independent device streams. The Controller is the repository's one
+// live multi-stream runtime: stream→shard affinity over a pool of
+// scoring workers, plus the cluster-shaped concerns of a serving
 // system — a per-stream model registry with copy-on-write hot swap
 // (registry.go), admission control with per-stream-fair overload
 // shedding (admission.go), consistent routing over a resizable shard
@@ -68,28 +68,7 @@ func (c *Config) fill(streams int) error {
 	if c.Shards > streams {
 		c.Shards = streams
 	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 128
-	}
-	if c.QueueDepth < 0 {
-		return fmt.Errorf("fleet: queue depth %d: %w", c.QueueDepth, ErrConfig)
-	}
-	if c.MaxPerStream == 0 {
-		c.MaxPerStream = 4
-	}
-	if c.MaxPerStream < 0 {
-		return fmt.Errorf("fleet: per-stream cap %d: %w", c.MaxPerStream, ErrConfig)
-	}
-	if c.HighWaterFrac == 0 {
-		c.HighWaterFrac = 0.75
-	}
-	if c.HighWaterFrac < 0 || c.HighWaterFrac > 1 {
-		return fmt.Errorf("fleet: high-water fraction %g: %w", c.HighWaterFrac, ErrConfig)
-	}
-	if c.Quantile == 0 {
-		c.Quantile = 0.01
-	}
-	return nil
+	return fillAdmission(&c.QueueDepth, &c.MaxPerStream, &c.HighWaterFrac, &c.Quantile)
 }
 
 // fleetMetrics is the controller's frozen metric set; the golden schema
@@ -302,10 +281,9 @@ func (c *Controller) SwapAt(stream, at int, m *Model) error {
 	return nil
 }
 
-// Submit offers one completed MHM of a stream. Unlike the sharded
-// pipeline it never blocks: under overload the submission is shed
-// (admitted=false) according to the per-stream fairness policy, and the
-// monitor keeps its interval cadence. The error is non-nil only for
+// Submit offers one completed MHM of a stream. It never blocks: under
+// overload the submission is shed (admitted=false) according to the
+// per-stream fairness policy, and the monitor keeps its interval cadence. The error is non-nil only for
 // invalid submissions or a closed controller.
 func (c *Controller) Submit(stream int, m *heatmap.HeatMap) (admitted bool, err error) {
 	if stream < 0 || stream >= len(c.streams) {

@@ -126,6 +126,40 @@ func TestControllerValidation(t *testing.T) {
 	}
 }
 
+// TestControllerSubmitValidation covers the checks the controller makes
+// beyond the shape of its Config: an uncalibrated quantile, the shard cap,
+// bad submissions, and use after Close.
+func TestControllerSubmitValidation(t *testing.T) {
+	wl, det := fixture(t)
+	if _, err := New(det, 4, Config{Quantile: 0.42}); err == nil {
+		t.Error("uncalibrated quantile accepted")
+	}
+
+	c, err := New(det, 2, Config{Shards: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Shards() != 2 {
+		t.Errorf("shards not capped at streams: %d", c.Shards())
+	}
+	m := mustMap(t, wl, 0, 0)
+	if _, err := c.Submit(2, m); err == nil {
+		t.Error("out-of-range stream accepted")
+	}
+	foreign, _ := heatmap.New(heatmap.Def{AddrBase: 0, Size: 1024, Gran: 256})
+	if _, err := c.Submit(0, foreign); err == nil {
+		t.Error("foreign region accepted")
+	}
+	c.Close()
+	c.Close() // idempotent
+	if _, err := c.Submit(0, m); err == nil {
+		t.Error("submit after close accepted")
+	}
+	if _, err := c.Records(0); err != nil {
+		t.Errorf("records after close: %v", err)
+	}
+}
+
 // TestControllerHotSwapBitIdentical is the race-stress pin (run in CI
 // with -race -count=3): N streams submit under load from concurrent
 // producers while every stream's model is hot-swapped at per-stream

@@ -1,6 +1,6 @@
 // Stream→shard routing for the fleet controller. The requirements are
-// the sharded pipeline's affinity contract scaled to a resizable shard
-// set: every stream maps to exactly one shard (so one worker owns the
+// a fixed pool's affinity contract scaled to a resizable shard set:
+// every stream maps to exactly one shard (so one worker owns the
 // stream's order), the mapping is a pure function of (stream, shard
 // count) so any component can recompute it without coordination, and a
 // resize moves as few streams as possible — ~streams/shards per ±1

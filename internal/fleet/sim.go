@@ -164,32 +164,14 @@ func (c *SimConfig) fill() error {
 	if c.Shards > c.Streams {
 		c.Shards = c.Streams
 	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 128
-	}
-	if c.QueueDepth < 0 {
-		return fmt.Errorf("fleet: queue depth %d: %w", c.QueueDepth, ErrConfig)
-	}
-	if c.MaxPerStream == 0 {
-		c.MaxPerStream = 4
-	}
-	if c.MaxPerStream < 0 {
-		return fmt.Errorf("fleet: per-stream cap %d: %w", c.MaxPerStream, ErrConfig)
-	}
-	if c.HighWaterFrac == 0 {
-		c.HighWaterFrac = 0.75
-	}
-	if c.HighWaterFrac < 0 || c.HighWaterFrac > 1 {
-		return fmt.Errorf("fleet: high-water fraction %g: %w", c.HighWaterFrac, ErrConfig)
+	if err := fillAdmission(&c.QueueDepth, &c.MaxPerStream, &c.HighWaterFrac, &c.Quantile); err != nil {
+		return err
 	}
 	if c.ServiceMicros == 0 {
 		c.ServiceMicros = 50
 	}
 	if c.ServiceMicros < 0 {
 		return fmt.Errorf("fleet: service %dµs: %w", c.ServiceMicros, ErrConfig)
-	}
-	if c.Quantile == 0 {
-		c.Quantile = 0.01
 	}
 	if c.PollMicros == 0 {
 		c.PollMicros = 5 * c.IntervalMicros

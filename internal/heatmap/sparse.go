@@ -42,13 +42,6 @@ func (s *Sparse) Reset(d Def, start, end int64) {
 // NNZ returns the number of occupied cells.
 func (s *Sparse) NNZ() int { return len(s.Counts) }
 
-// MemBytes returns the payload size of the sparse form (runs plus
-// counts, excluding the fixed header) — the bandwidth a fleet moves
-// per interval in place of 4·Cells() dense bytes.
-func (s *Sparse) MemBytes() int {
-	return 4*len(s.RunStart) + 4*len(s.RunLen) + 4*len(s.Counts)
-}
-
 // appendRun appends one run, growing the backing arrays as needed.
 func (s *Sparse) appendRun(start int32, counts []uint32) {
 	s.RunStart = append(s.RunStart, start)

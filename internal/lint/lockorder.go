@@ -1,6 +1,6 @@
 // The lockorder analyzer builds a module-wide mutex-acquisition graph
-// and keeps it a partial order. The sharded pipeline holds its
-// registry lock while touching per-stream locks; one function acquiring
+// and keeps it a partial order. The fleet controller keeps a topology
+// lock beside per-stream and registry locks; one function acquiring
 // A then B while another acquires B then A is a deadlock waiting for
 // the right interleaving — exactly the failure mode -race tests only
 // catch when they happen to hit it.

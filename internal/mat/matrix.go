@@ -242,15 +242,6 @@ func (m *Matrix) MaxAbs() float64 {
 	return max
 }
 
-// FrobeniusNorm returns sqrt(sum of squared elements).
-func (m *Matrix) FrobeniusNorm() float64 {
-	s := 0.0
-	for _, v := range m.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // Trace returns the sum of diagonal elements of a square matrix.
 func (m *Matrix) Trace() (float64, error) {
 	if m.rows != m.cols {

@@ -162,8 +162,11 @@ func (h *Histogram) Observe(v float64) {
 	}
 	// First bucket whose bound is >= v; len(bounds) selects overflow.
 	i := sort.SearchFloat64s(h.bounds, v)
-	h.buckets[i].Add(1)
+	// Count before bucket, so a concurrent reader that loads the buckets
+	// and then the count never sees more bucketed observations than
+	// counted ones.
 	h.count.Add(1)
+	h.buckets[i].Add(1)
 	for {
 		old := h.sumBits.Load()
 		cur := math.Float64frombits(old)

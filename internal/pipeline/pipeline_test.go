@@ -2,7 +2,9 @@ package pipeline
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/memheatmap/mhm/internal/alarm"
@@ -201,5 +203,49 @@ func TestPipelineRegionMismatch(t *testing.T) {
 	foreign, _ := heatmap.New(heatmap.Def{AddrBase: 0, Size: 512, Gran: 256})
 	if err := p.Process(foreign); !errors.Is(err, core.ErrRegionMismatch) {
 		t.Errorf("foreign region: %v", err)
+	}
+}
+
+// TestParallelTrainingDeterministic: the Parallel training options that
+// experiments now default to must reproduce the serial model exactly —
+// same eigenmemories, same mixture, same thresholds — so flipping the
+// flag can never shift calibrated behaviour.
+func TestParallelTrainingDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var train, calib []*heatmap.HeatMap
+	for i := 0; i < 200; i++ {
+		train = append(train, patternMap(rng, i))
+	}
+	for i := 0; i < 100; i++ {
+		calib = append(calib, patternMap(rng, i))
+	}
+	mk := func(parallel bool) *core.Detector {
+		d, err := core.Train(train, calib, core.Config{
+			PCA: pca.Options{Components: 4, Parallel: parallel},
+			GMM: gmm.Options{Components: 3, Restarts: 2, Parallel: parallel},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	serial, parallel := mk(false), mk(true)
+
+	if !reflect.DeepEqual(serial.Thresholds, parallel.Thresholds) {
+		t.Fatalf("thresholds differ: %+v vs %+v", serial.Thresholds, parallel.Thresholds)
+	}
+	for i := 0; i < 50; i++ {
+		m := patternMap(rng, i)
+		a, err := serial.LogDensity(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := parallel.LogDensity(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("map %d: serial model %v, parallel model %v", i, a, b)
+		}
 	}
 }

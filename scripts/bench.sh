@@ -10,8 +10,8 @@
 # meaningless by construction.
 #
 # Scoring: runs the three scoring-path benchmarks (single-vector
-# analysis loop, batched ScoreBatch at B=64, sharded multi-stream
-# pipeline) several times, takes the median ns/op of each, and writes
+# analysis loop, batched ScoreBatch at B=64, the multi-stream fleet
+# controller under the "sharded" key) several times, takes the median ns/op of each, and writes
 # BENCH_scoring.json at the repo root with the derived batch-vs-single
 # and (on multi-core runners) sharded-vs-single speedups. Bar:
 # batch_speedup >= 2.
@@ -63,7 +63,7 @@ CPUS="$(go run ./scripts/numcpu)"
 case "$CPUS" in ''|*[!0-9]*) CPUS=1 ;; esac
 
 RAW="$(go test -run '^$' \
-  -bench 'AnalysisTime_L1472_Lp9_J5$|ScoreBatch$|ShardedPipeline$' \
+  -bench 'AnalysisTime_L1472_Lp9_J5$|ScoreBatch$|FleetController$' \
   -benchmem -benchtime="$BENCHTIME" -count="$COUNT" .)"
 
 printf '%s\n' "$RAW"
@@ -96,7 +96,7 @@ END {
     printf "  \"cpus\": %d,\n", cpus >> out
     single  = field("single",  "AnalysisTime_L1472_Lp9_J5")
     batch   = field("batch64", "ScoreBatch")
-    sharded = field("sharded", "ShardedPipeline")
+    sharded = field("sharded", "FleetController")
     if (cpus > 1)
         printf "  \"sharded_speedup\": %.2f,\n", single / sharded >> out
     else
