@@ -361,20 +361,21 @@ func (d *Detector) LogDensityVector(v []float64) (float64, error) {
 	return d.scoreVector(s, v)
 }
 
-// scoreVector scores one vector with pooled scratch: the fused kernel
-// normally, or the staged Into path when per-stage histograms are
-// installed (so project/score timings stay separable).
+// scoreVector scores one vector with the pooled Scorer. With per-stage
+// histograms installed it times the Scorer's Project (Eq. 1) and
+// ScoreReduced (Eq. 2) halves apart; Score is exactly those two calls,
+// so instrumented and plain scoring run the same arithmetic.
 func (d *Detector) scoreVector(s *detScratch, v []float64) (float64, error) {
 	if d.projHist == nil && d.scoreHist == nil {
 		return s.sc.Score(v)
 	}
 	sw := d.projHist.Start()
-	err := d.PCA.ProjectInto(s.w, v)
+	w, err := s.sc.Project(v)
 	sw = sw.Handoff(d.scoreHist)
 	if err != nil {
 		return 0, err
 	}
-	lp, err := d.GMM.LogProbScratch(s.w, s.gs)
+	lp, err := s.sc.ScoreReduced(w)
 	sw.Stop()
 	return lp, err
 }

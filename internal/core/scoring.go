@@ -23,9 +23,8 @@ type scoring struct {
 type detScratch struct {
 	sc   *score.Scorer // fused single/batch scoring
 	vbuf []float64     // length L: HeatMap.VectorInto target
-	w    []float64     // length L': staged projection output
+	w    []float64     // length L': residual projection output
 	rec  []float64     // length L: residual reconstruction scratch
-	gs   *gmm.Scratch  // staged density evaluation scratch
 }
 
 // newScoring builds the runtime for a trained model pair. The caller has
@@ -45,7 +44,6 @@ func newScoring(p *pca.Model, g *gmm.Model) (*scoring, error) {
 			vbuf: make([]float64, l),
 			w:    make([]float64, lp),
 			rec:  make([]float64, l),
-			gs:   g.NewScratch(),
 		}
 	}
 	return rt, nil

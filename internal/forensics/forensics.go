@@ -59,12 +59,19 @@ func Explain(det *core.Detector, img *kernelmap.Image, m *heatmap.HeatMap, topN 
 	if topN <= 0 {
 		topN = 10
 	}
-	v := m.Vector()
-	w, err := det.PCA.Project(v)
+	eng, err := det.ScoreEngine()
 	if err != nil {
 		return nil, err
 	}
-	lp, err := det.GMM.LogProb(w)
+	// Reduced vector and density from the detector's own engine, so the
+	// report's LogDensity is the one the alarm was raised on.
+	sc := eng.NewScorer()
+	v := m.Vector()
+	w, err := sc.Project(v)
+	if err != nil {
+		return nil, err
+	}
+	lp, err := sc.ScoreReduced(w)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package forensics
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -93,6 +94,20 @@ func TestExplainNormalIntervalHasSmallDeltas(t *testing.T) {
 	}
 	if anomalous.LogDensity >= normal.LogDensity {
 		t.Errorf("densities inverted: %.1f vs %.1f", anomalous.LogDensity, normal.LogDensity)
+	}
+	// The report scores with the detector's engine: its density is the
+	// detector's own, bit for bit, for normal and anomalous maps alike.
+	for _, tc := range []struct {
+		idx int
+		rep *Report
+	}{{50, normal}, {150, anomalous}} {
+		want, err := det.LogDensity(maps[tc.idx])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(tc.rep.LogDensity) != math.Float64bits(want) {
+			t.Errorf("interval %d: report log density %v, detector %v", tc.idx, tc.rep.LogDensity, want)
+		}
 	}
 }
 

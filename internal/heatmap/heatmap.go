@@ -139,26 +139,6 @@ func (h *HeatMap) Record(addr uint64, count uint32) bool {
 	return true
 }
 
-// RecordNew is Record, additionally reporting whether this access
-// occupied a previously-empty cell — the signal occupancy trackers
-// (the Memometer's sparse-collect routing) need without a rescan.
-//
-//mhm:hotpath
-func (h *HeatMap) RecordNew(addr uint64, count uint32) (newCell, ok bool) {
-	idx, ok := h.Def.CellIndex(addr)
-	if !ok {
-		return false, false
-	}
-	c := h.Counts[idx]
-	newCell = c == 0 && count > 0
-	if c > math.MaxUint32-count {
-		h.Counts[idx] = math.MaxUint32
-	} else {
-		h.Counts[idx] = c + count
-	}
-	return newCell, true
-}
-
 // Reset zeroes all counters.
 //
 //mhm:hotpath

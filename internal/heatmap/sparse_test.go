@@ -35,9 +35,6 @@ func TestSparsifyDenseRoundTrip(t *testing.T) {
 	if sp.NNZ() != 6 {
 		t.Errorf("NNZ = %d, want 6", sp.NNZ())
 	}
-	if sp.Total() != h.Total() {
-		t.Errorf("Total = %d, want %d", sp.Total(), h.Total())
-	}
 	if sp.Start != 100 || sp.End != 200 {
 		t.Errorf("interval = [%d,%d], want [100,200]", sp.Start, sp.End)
 	}
@@ -49,31 +46,6 @@ func TestSparsifyDenseRoundTrip(t *testing.T) {
 	for i, c := range h.Counts {
 		if back.Counts[i] != c {
 			t.Fatalf("cell %d: round-trip %d, want %d", i, back.Counts[i], c)
-		}
-	}
-}
-
-func TestSparseVectorIntoMatchesDense(t *testing.T) {
-	d := testDef(t)
-	h, _ := New(d)
-	rng := rand.New(rand.NewSource(7))
-	for i := range h.Counts {
-		if rng.Intn(4) == 0 {
-			h.Counts[i] = uint32(rng.Intn(1000))
-		}
-	}
-	sp := h.Sparsify(nil)
-	dv := make([]float64, d.Cells())
-	sv := make([]float64, d.Cells())
-	// Dirty sv to prove VectorInto clears stale cells.
-	for i := range sv {
-		sv[i] = -1
-	}
-	h.VectorInto(dv)
-	sp.VectorInto(sv)
-	for i := range dv {
-		if dv[i] != sv[i] {
-			t.Fatalf("cell %d: sparse %v, dense %v", i, sv[i], dv[i])
 		}
 	}
 }
@@ -128,30 +100,6 @@ func TestSparseEdgeShapes(t *testing.T) {
 	}
 }
 
-func TestSparseAddMatchesDenseAdd(t *testing.T) {
-	d := testDef(t)
-	a, _ := New(d)
-	b, _ := New(d)
-	a.Counts[3] = math.MaxUint32 - 1
-	a.Counts[10] = 7
-	b.Counts[3] = 5 // saturates
-	b.Counts[11] = 2
-	sp := b.Sparsify(nil)
-
-	wantDst := a.Clone()
-	if err := wantDst.Add(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := sp.Add(a); err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Counts {
-		if a.Counts[i] != wantDst.Counts[i] {
-			t.Fatalf("cell %d: sparse add %d, dense add %d", i, a.Counts[i], wantDst.Counts[i])
-		}
-	}
-}
-
 func TestSparseValidateRejects(t *testing.T) {
 	d := testDef(t)
 	mk := func(mut func(*Sparse)) *Sparse {
@@ -177,47 +125,6 @@ func TestSparseValidateRejects(t *testing.T) {
 	}
 }
 
-func TestPackVectorsSparseMatchesPackVectors(t *testing.T) {
-	d := testDef(t)
-	rng := rand.New(rand.NewSource(11))
-	var dense []*HeatMap
-	var sparse []*Sparse
-	for m := 0; m < 5; m++ {
-		h, _ := New(d)
-		for i := range h.Counts {
-			if rng.Intn(5) == 0 {
-				h.Counts[i] = uint32(rng.Intn(100) + 1)
-			}
-		}
-		dense = append(dense, h)
-		sparse = append(sparse, h.Sparsify(nil))
-	}
-	dv, err := PackVectors(dense)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv, err := PackVectorsSparse(sparse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for m := range dv {
-		for i := range dv[m] {
-			if dv[m][i] != sv[m][i] {
-				t.Fatalf("map %d cell %d: sparse %v, dense %v", m, i, sv[m][i], dv[m][i])
-			}
-		}
-	}
-
-	bad := sparse[0].Clone()
-	bad.Def.Gran *= 2
-	if _, err := PackVectorsSparse([]*Sparse{sparse[1], bad}); err == nil {
-		t.Error("PackVectorsSparse accepted mismatched definitions")
-	}
-	if _, err := PackVectorsSparse(nil); err == nil {
-		t.Error("PackVectorsSparse accepted an empty set")
-	}
-}
-
 // FuzzSparseRoundTrip drives random dense maps through
 // Sparsify → Validate → Dense and demands an exact count round-trip.
 func FuzzSparseRoundTrip(f *testing.F) {
@@ -240,9 +147,6 @@ func FuzzSparseRoundTrip(f *testing.F) {
 		sp := h.Sparsify(nil)
 		if err := sp.Validate(); err != nil {
 			t.Fatalf("invalid sparse form: %v", err)
-		}
-		if sp.Total() != h.Total() {
-			t.Fatalf("Total %d != %d", sp.Total(), h.Total())
 		}
 		back := sp.Dense(nil)
 		for i, c := range h.Counts {

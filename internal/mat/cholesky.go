@@ -90,19 +90,10 @@ func (c *Cholesky) SolveVec(b []float64) ([]float64, error) {
 // MahalanobisSq returns dᵀ A⁻¹ d computed stably through the factor:
 // solve L y = d, then the result is yᵀy.
 func (c *Cholesky) MahalanobisSq(d []float64) (float64, error) {
-	return c.MahalanobisSqScratch(d, make([]float64, c.n))
-}
-
-// MahalanobisSqScratch is MahalanobisSq with caller-owned scratch: the
-// forward-substitution solution is written into y (length Size()), so
-// steady-state callers allocate nothing.
-func (c *Cholesky) MahalanobisSqScratch(d, y []float64) (float64, error) {
 	if len(d) != c.n {
 		return 0, fmt.Errorf("mat: MahalanobisSq: len %d, want %d: %w", len(d), c.n, ErrShape)
 	}
-	if len(y) != c.n {
-		return 0, fmt.Errorf("mat: MahalanobisSq: scratch len %d, want %d: %w", len(y), c.n, ErrShape)
-	}
+	y := make([]float64, c.n)
 	for i := 0; i < c.n; i++ {
 		s := d[i]
 		li := c.l.Row(i)

@@ -2,6 +2,7 @@ package memometer
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"github.com/memheatmap/mhm/internal/heatmap"
@@ -77,9 +78,6 @@ func TestUnconfiguredDevice(t *testing.T) {
 	}
 	if _, err := d.Config(); !errors.Is(err, ErrNotConfigured) {
 		t.Errorf("Config: %v", err)
-	}
-	if err := d.Run(nil, nil); !errors.Is(err, ErrNotConfigured) {
-		t.Errorf("Run: %v", err)
 	}
 }
 
@@ -253,128 +251,112 @@ func TestReconfigureResetsState(t *testing.T) {
 	}
 }
 
-func TestRunPumpsAllIntervals(t *testing.T) {
-	d := mustDevice(t)
-	var collected []int64
-	var totals []uint64
-	err := d.Run(
-		func(yield func(t int64, addr uint64, count uint32) error) error {
-			for i := int64(0); i < 5; i++ {
-				// One burst per interval, sized i+1.
-				if err := yield(i*1000+500, 0x1000, uint32(i+1)); err != nil {
-					return err
-				}
-			}
-			// Push time past the final boundary.
-			return yield(5001, 0x0, 0)
-		},
-		func(m *heatmap.HeatMap) error {
-			collected = append(collected, m.Start)
-			totals = append(totals, m.Total())
-			return nil
-		},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(collected) != 5 {
-		t.Fatalf("collected %d MHMs, want 5", len(collected))
-	}
-	for i, start := range collected {
-		if start != int64(i)*1000 {
-			t.Errorf("MHM %d start = %d", i, start)
-		}
-		if totals[i] != uint64(i+1) {
-			t.Errorf("MHM %d total = %d, want %d", i, totals[i], i+1)
-		}
-	}
-	if d.Stats().Overruns != 0 {
-		t.Errorf("overruns in pumped run: %d", d.Stats().Overruns)
-	}
-}
-
-func TestRunPropagatesCollectError(t *testing.T) {
-	d := mustDevice(t)
-	sentinel := errors.New("stop")
-	err := d.Run(
-		func(yield func(t int64, addr uint64, count uint32) error) error {
-			return yield(1500, 0x1000, 1)
-		},
-		func(m *heatmap.HeatMap) error { return sentinel },
-	)
-	if !errors.Is(err, sentinel) {
-		t.Errorf("err = %v, want sentinel", err)
-	}
-}
-
 // TestSnoopBatchEquivalentToPerEvent pins the batched ingest contract:
 // feeding a time-ordered stream through SnoopBatch with collect-at-stop
 // resubmission produces the same maps and stats as per-event SnoopBurst
 // with drain-after-every-event, and SnoopBatch pauses exactly at the
-// event that completes an MHM.
+// event that completes an MHM. Both drain loops collect every interval
+// without an overrun; where an input pins them, each MHM's start and
+// access total must match.
 func TestSnoopBatchEquivalentToPerEvent(t *testing.T) {
 	// 3.5 intervals of traffic: boundaries inside and between batches.
-	var events []trace.Access
+	var spread []trace.Access
 	for i := int64(0); i < 35; i++ {
-		events = append(events, trace.Access{
+		spread = append(spread, trace.Access{
 			Time:  i * 100, // one event per 100 µs, interval 1000 µs
 			Addr:  0x1000 + uint64(i%16)*0x100,
 			Count: uint32(1 + i%3),
 		})
 	}
+	// One burst per interval, sized i+1, then an out-of-region empty
+	// burst that pushes time past the final boundary.
+	var bursts []trace.Access
+	for i := int64(0); i < 5; i++ {
+		bursts = append(bursts, trace.Access{Time: i*1000 + 500, Addr: 0x1000, Count: uint32(i + 1)})
+	}
+	bursts = append(bursts, trace.Access{Time: 5001, Addr: 0x0, Count: 0})
 
-	ref := mustDevice(t)
-	var refMaps []*heatmap.HeatMap
-	for _, a := range events {
-		if err := ref.SnoopBurst(a.Time, a.Addr, a.Count); err != nil {
-			t.Fatal(err)
+	for _, in := range []struct {
+		name   string
+		events []trace.Access
+		starts []int64  // per-MHM interval start, when pinned
+		totals []uint64 // per-MHM access total, when pinned
+	}{
+		{name: "spread", events: spread},
+		{name: "one-burst-per-interval", events: bursts,
+			starts: []int64{0, 1000, 2000, 3000, 4000}, totals: []uint64{1, 2, 3, 4, 5}},
+	} {
+		events := in.events
+		ref := mustDevice(t)
+		var refMaps []*heatmap.HeatMap
+		for _, a := range events {
+			if err := ref.SnoopBurst(a.Time, a.Addr, a.Count); err != nil {
+				t.Fatal(err)
+			}
+			for ref.HasPending() {
+				m, err := ref.Collect()
+				if err != nil {
+					t.Fatal(err)
+				}
+				refMaps = append(refMaps, m)
+			}
 		}
-		for ref.HasPending() {
-			m, err := ref.Collect()
+
+		dev := mustDevice(t)
+		var maps []*heatmap.HeatMap
+		for off := 0; off < len(events); {
+			c, err := dev.SnoopBatch(events[off:])
 			if err != nil {
 				t.Fatal(err)
 			}
-			refMaps = append(refMaps, m)
+			if c == 0 {
+				t.Fatalf("%s: SnoopBatch made no progress", in.name)
+			}
+			off += c
+			if off < len(events) && !dev.HasPending() {
+				t.Fatalf("%s: SnoopBatch stopped at %d without a pending MHM", in.name, off)
+			}
+			for dev.HasPending() {
+				m, err := dev.Collect()
+				if err != nil {
+					t.Fatal(err)
+				}
+				maps = append(maps, m)
+			}
 		}
-	}
 
-	dev := mustDevice(t)
-	var maps []*heatmap.HeatMap
-	for off := 0; off < len(events); {
-		c, err := dev.SnoopBatch(events[off:])
-		if err != nil {
-			t.Fatal(err)
+		if len(maps) != len(refMaps) {
+			t.Fatalf("%s: batched path produced %d maps, per-event %d", in.name, len(maps), len(refMaps))
 		}
-		if c == 0 {
-			t.Fatal("SnoopBatch made no progress")
-		}
-		off += c
-		if off < len(events) && !dev.HasPending() {
-			t.Fatalf("SnoopBatch stopped at %d without a pending MHM", off)
-		}
-		for dev.HasPending() {
-			m, err := dev.Collect()
+		for i := range refMaps {
+			d, err := maps[i].L1Distance(refMaps[i])
 			if err != nil {
 				t.Fatal(err)
 			}
-			maps = append(maps, m)
+			if d != 0 {
+				t.Errorf("%s: interval %d differs between batched and per-event ingest (L1=%d)", in.name, i, d)
+			}
 		}
-	}
-
-	if len(maps) != len(refMaps) {
-		t.Fatalf("batched path produced %d maps, per-event %d", len(maps), len(refMaps))
-	}
-	for i := range refMaps {
-		d, err := maps[i].L1Distance(refMaps[i])
-		if err != nil {
-			t.Fatal(err)
+		if dev.Stats() != ref.Stats() {
+			t.Errorf("%s: stats diverge: batched %+v, per-event %+v", in.name, dev.Stats(), ref.Stats())
 		}
-		if d != 0 {
-			t.Errorf("interval %d differs between batched and per-event ingest (L1=%d)", i, d)
+		if n := ref.Stats().Overruns; n != 0 {
+			t.Errorf("%s: %d overruns while draining after every event", in.name, n)
 		}
-	}
-	if dev.Stats() != ref.Stats() {
-		t.Errorf("stats diverge: batched %+v, per-event %+v", dev.Stats(), ref.Stats())
+		if in.starts == nil {
+			continue
+		}
+		if len(refMaps) != len(in.starts) {
+			t.Fatalf("%s: collected %d MHMs, want %d", in.name, len(refMaps), len(in.starts))
+		}
+		for i, m := range refMaps {
+			if m.Start != in.starts[i] {
+				t.Errorf("%s: MHM %d start = %d, want %d", in.name, i, m.Start, in.starts[i])
+			}
+			if m.Total() != in.totals[i] {
+				t.Errorf("%s: MHM %d total = %d, want %d", in.name, i, m.Total(), in.totals[i])
+			}
+		}
 	}
 }
 
@@ -396,60 +378,137 @@ func TestSnoopBatchPropagatesErrors(t *testing.T) {
 	}
 }
 
+// TestCollectSparseMatchesCollect drives two devices identically and
+// collects one densely, one sparsely, draining after every event. Every
+// dense snapshot must equal an independent reference accumulation of
+// its interval's events — checked after the last collect, so each
+// snapshot stays caller-owned across later collects — and every sparse
+// collection must be valid and densify to the same MHM. Inputs cover
+// low and full occupancy and occupancy alternating across intervals.
 func TestCollectSparseMatchesCollect(t *testing.T) {
-	// Two identically-driven devices: one collected densely, one
-	// sparsely. The sparse collection must densify to the same MHM and
-	// leave the device in the same state (buffer recycled, pending
-	// cleared).
-	dd := mustDevice(t)
-	ds := mustDevice(t)
-	events := []trace.Access{
-		{Time: 100, Addr: 0x1000, Count: 3},
-		{Time: 200, Addr: 0x1F00, Count: 1},
-		{Time: 950, Addr: 0x1200, Count: 7},
-		{Time: 1100, Addr: 0x1000, Count: 2}, // crosses into interval 2
+	wide := heatmap.Def{AddrBase: 0x1000, Size: 256 * 64, Gran: 64} // 256 cells
+	rng := rand.New(rand.NewSource(91))
+	var low, full []trace.Access
+	for i := 0; i < 300; i++ { // ~12 of 256 cells
+		cell := uint64(rng.Intn(12)) * 64
+		low = append(low, trace.Access{Time: int64(i), Addr: 0x1000 + cell + uint64(rng.Intn(64)), Count: 1})
 	}
-	for _, a := range events {
-		if err := dd.SnoopBurst(a.Time, a.Addr, a.Count); err != nil {
+	for c := 0; c < 256; c++ { // every cell
+		full = append(full, trace.Access{Time: int64(c), Addr: 0x1000 + uint64(c)*64, Count: 1})
+	}
+	// Four 100 µs intervals over 128 cells: every cell in even
+	// intervals, cells 0-3 twice each in odd ones.
+	var alternating []trace.Access
+	for interval := int64(0); interval < 4; interval++ {
+		base := interval * 100
+		if interval%2 == 0 {
+			for c := 0; c < 128; c++ {
+				alternating = append(alternating, trace.Access{Time: base + int64(c*90/128), Addr: uint64(c) * 64, Count: 1})
+			}
+			continue
+		}
+		for i := 0; i < 8; i++ {
+			alternating = append(alternating, trace.Access{Time: base + int64(i), Addr: uint64(i%4) * 64, Count: 1})
+		}
+	}
+
+	for _, in := range []struct {
+		name   string
+		cfg    Config
+		events []trace.Access
+		end    int64 // Tick that closes the last interval
+	}{
+		{"mixed", testCfg(), []trace.Access{
+			{Time: 100, Addr: 0x1000, Count: 3},
+			{Time: 200, Addr: 0x1F00, Count: 1},
+			{Time: 950, Addr: 0x1200, Count: 7},
+			{Time: 1100, Addr: 0x1000, Count: 2}, // crosses into interval 2
+		}, 2000},
+		{"low-occupancy", Config{Region: wide, IntervalMicros: 1000}, low, 1000},
+		{"full-occupancy", Config{Region: wide, IntervalMicros: 1000}, full, 1000},
+		{"alternating", Config{Region: heatmap.Def{AddrBase: 0, Size: 128 * 64, Gran: 64}, IntervalMicros: 100},
+			alternating, 400},
+	} {
+		dd, ds := New(), New()
+		for _, d := range []*Device{dd, ds} {
+			if err := d.Configure(in.cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var snaps []*heatmap.HeatMap
+		var sp heatmap.Sparse
+		drain := func() {
+			for dd.HasPending() {
+				dense, err := dd.Collect()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ds.CollectSparse(&sp); err != nil {
+					t.Fatalf("%s: %v", in.name, err)
+				}
+				if err := sp.Validate(); err != nil {
+					t.Fatalf("%s: CollectSparse produced invalid runs: %v", in.name, err)
+				}
+				back := sp.Dense(nil)
+				if back.Def != dense.Def || back.Start != dense.Start || back.End != dense.End {
+					t.Errorf("%s: sparse header %+v [%d,%d], dense %+v [%d,%d]", in.name,
+						back.Def, back.Start, back.End, dense.Def, dense.Start, dense.End)
+				}
+				for i := range dense.Counts {
+					if back.Counts[i] != dense.Counts[i] {
+						t.Fatalf("%s: cell %d: sparse %d, dense %d", in.name, i, back.Counts[i], dense.Counts[i])
+					}
+				}
+				snaps = append(snaps, dense)
+			}
+			if ds.HasPending() {
+				t.Fatalf("%s: pending not cleared after CollectSparse", in.name)
+			}
+		}
+		for _, a := range in.events {
+			if err := dd.SnoopBurst(a.Time, a.Addr, a.Count); err != nil {
+				t.Fatal(err)
+			}
+			if err := ds.SnoopBurst(a.Time, a.Addr, a.Count); err != nil {
+				t.Fatal(err)
+			}
+			drain()
+		}
+		if err := dd.Tick(in.end); err != nil {
 			t.Fatal(err)
 		}
-		if err := ds.SnoopBurst(a.Time, a.Addr, a.Count); err != nil {
+		if err := ds.Tick(in.end); err != nil {
 			t.Fatal(err)
 		}
-	}
-	dense, err := dd.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sp heatmap.Sparse
-	if err := ds.CollectSparse(&sp); err != nil {
-		t.Fatal(err)
-	}
-	if err := sp.Validate(); err != nil {
-		t.Fatalf("CollectSparse produced invalid runs: %v", err)
-	}
-	back := sp.Dense(nil)
-	if back.Def != dense.Def || back.Start != dense.Start || back.End != dense.End {
-		t.Errorf("sparse header %+v [%d,%d], dense %+v [%d,%d]",
-			back.Def, back.Start, back.End, dense.Def, dense.Start, dense.End)
-	}
-	for i := range dense.Counts {
-		if back.Counts[i] != dense.Counts[i] {
-			t.Fatalf("cell %d: sparse %d, dense %d", i, back.Counts[i], dense.Counts[i])
+		drain()
+		if dd.Stats() != ds.Stats() {
+			t.Errorf("%s: stats diverge: dense %+v, sparse %+v", in.name, dd.Stats(), ds.Stats())
 		}
-	}
-	if ds.HasPending() {
-		t.Error("pending not cleared after CollectSparse")
-	}
-	// Device keeps double-buffering: next interval still collects.
-	if err := ds.Tick(2000); err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.CollectSparse(&sp); err != nil {
-		t.Fatal(err)
-	}
-	if got := sp.Dense(nil).Counts[0]; got != 2 {
-		t.Errorf("interval 2 cell 0 = %d, want 2", got)
+
+		// Reference accumulation, independent of the device.
+		iv := in.cfg.IntervalMicros
+		if want := int(in.end / iv); len(snaps) != want {
+			t.Fatalf("%s: collected %d MHMs, want %d", in.name, len(snaps), want)
+		}
+		for k, m := range snaps {
+			ref, err := heatmap.New(in.cfg.Region)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, a := range in.events {
+				if a.Time/iv == int64(k) {
+					ref.Record(a.Addr, a.Count)
+				}
+			}
+			if m.Def != in.cfg.Region || m.Start != int64(k)*iv || m.End != int64(k+1)*iv {
+				t.Fatalf("%s: MHM %d is %+v [%d,%d]", in.name, k, m.Def, m.Start, m.End)
+			}
+			for i, c := range ref.Counts {
+				if m.Counts[i] != c {
+					t.Fatalf("%s: MHM %d cell %d = %d, want %d", in.name, k, i, m.Counts[i], c)
+				}
+			}
+		}
 	}
 }
 

@@ -6,17 +6,16 @@ package score
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/memheatmap/mhm/internal/gmm"
-	"github.com/memheatmap/mhm/internal/mat"
 	"github.com/memheatmap/mhm/internal/pca"
 )
 
 // Repack fuses refreshed models into spare's storage and returns spare,
 // provided the shapes match (same L, L' and at least as many packed
 // component blocks); otherwise — or when spare is nil — it falls back
-// to New. The packed values are bit-identical to New's.
+// to New. Both run the same packer, so the values are bit-identical to
+// New's.
 //
 // Ownership contract: spare must be exclusively owned by the caller —
 // retired from every Scorer, registry slot and goroutine — because its
@@ -29,48 +28,11 @@ func Repack(spare *Engine, p *pca.Model, g *gmm.Model) (*Engine, error) {
 		return nil, fmt.Errorf("score: nil model: %w", ErrModel)
 	}
 	l, lp := p.Dim()
-	active := 0
-	for ci := range g.Components {
-		if g.Components[ci].Weight > 0 {
-			active++
-		}
-	}
-	if spare == nil || spare.l != l || spare.lp != lp || len(spare.comps) < active {
+	if spare == nil || spare.l != l || spare.lp != lp || len(spare.comps) < activeComponents(g) {
 		return New(p, g)
 	}
-	if d := g.Dim(); d != lp {
-		return nil, fmt.Errorf("score: mixture dimension %d, eigenmemories %d: %w", d, lp, ErrModel)
+	if err := spare.pack(p, g); err != nil {
+		return nil, err
 	}
-	for j := 0; j < lp; j++ {
-		row := spare.panel[j*l : (j+1)*l]
-		for i := 0; i < l; i++ {
-			row[i] = p.Components.At(i, j)
-		}
-		spare.meanOff[j] = mat.Dot(row, p.Mean)
-	}
-	packed := 0
-	for ci := range g.Components {
-		c := &g.Components[ci]
-		if c.Weight <= 0 {
-			continue
-		}
-		if len(c.Mean) != lp || c.Cov.Rows() != lp || c.Cov.Cols() != lp {
-			return nil, fmt.Errorf("score: component %d shape: %w", ci, ErrModel)
-		}
-		ch, err := mat.NewCholesky(c.Cov)
-		if err != nil {
-			return nil, fmt.Errorf("score: component %d: %w", ci, err)
-		}
-		fc := &spare.comps[packed]
-		copy(fc.mean, c.Mean)
-		fc.logW = math.Log(c.Weight)
-		fc.base = float64(lp)*log2Pi + ch.LogDet()
-		lo := ch.L()
-		for i := 0; i < lp; i++ {
-			copy(fc.chol[i*lp:(i+1)*lp], lo.Row(i))
-		}
-		packed++
-	}
-	spare.comps = spare.comps[:packed]
 	return spare, nil
 }

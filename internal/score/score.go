@@ -62,14 +62,45 @@ func New(p *pca.Model, g *gmm.Model) (*Engine, error) {
 		return nil, fmt.Errorf("score: nil model: %w", ErrModel)
 	}
 	l, lp := p.Dim()
-	if d := g.Dim(); d != lp {
-		return nil, fmt.Errorf("score: mixture dimension %d, eigenmemories %d: %w", d, lp, ErrModel)
-	}
 	e := &Engine{
 		l:       l,
 		lp:      lp,
 		panel:   make([]float64, lp*l),
 		meanOff: make([]float64, lp),
+		comps:   make([]component, activeComponents(g)),
+	}
+	for ci := range e.comps {
+		e.comps[ci].mean = make([]float64, lp)
+		e.comps[ci].chol = make([]float64, lp*lp)
+	}
+	if err := e.pack(p, g); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// activeComponents counts the mixture's positive-weight components, the
+// ones an engine packs.
+func activeComponents(g *gmm.Model) int {
+	n := 0
+	for ci := range g.Components {
+		if g.Components[ci].Weight > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// pack fills e's storage from the models: the panel, the mean offsets
+// and one component block per positive-weight Gaussian. e must already
+// hold an L'×L panel, L' offsets and at least activeComponents(g)
+// blocks of the right sizes; comps is trimmed to the packed count. New
+// packs into fresh storage, Repack into a retired engine's, so both
+// produce the same bits.
+func (e *Engine) pack(p *pca.Model, g *gmm.Model) error {
+	l, lp := e.l, e.lp
+	if d := g.Dim(); d != lp {
+		return fmt.Errorf("score: mixture dimension %d, eigenmemories %d: %w", d, lp, ErrModel)
 	}
 	// Flatten uᵀ row-major and precompute the mean offsets with the same
 	// dot-product order pca.Model.prepare uses.
@@ -80,31 +111,31 @@ func New(p *pca.Model, g *gmm.Model) (*Engine, error) {
 		}
 		e.meanOff[j] = mat.Dot(row, p.Mean)
 	}
+	packed := 0
 	for ci := range g.Components {
 		c := &g.Components[ci]
 		if c.Weight <= 0 {
 			continue
 		}
 		if len(c.Mean) != lp || c.Cov.Rows() != lp || c.Cov.Cols() != lp {
-			return nil, fmt.Errorf("score: component %d shape: %w", ci, ErrModel)
+			return fmt.Errorf("score: component %d shape: %w", ci, ErrModel)
 		}
 		ch, err := mat.NewCholesky(c.Cov)
 		if err != nil {
-			return nil, fmt.Errorf("score: component %d: %w", ci, err)
+			return fmt.Errorf("score: component %d: %w", ci, err)
 		}
-		fc := component{
-			mean: append([]float64(nil), c.Mean...),
-			chol: make([]float64, lp*lp),
-			logW: math.Log(c.Weight),
-			base: float64(lp)*log2Pi + ch.LogDet(),
-		}
+		fc := &e.comps[packed]
+		copy(fc.mean, c.Mean)
+		fc.logW = math.Log(c.Weight)
+		fc.base = float64(lp)*log2Pi + ch.LogDet()
 		lo := ch.L()
 		for i := 0; i < lp; i++ {
 			copy(fc.chol[i*lp:(i+1)*lp], lo.Row(i))
 		}
-		e.comps = append(e.comps, fc)
+		packed++
 	}
-	return e, nil
+	e.comps = e.comps[:packed]
+	return nil
 }
 
 // Dim returns (L, L').
@@ -141,16 +172,31 @@ func (e *Engine) NewScorer() *Scorer {
 // Engine returns the shared immutable engine.
 func (s *Scorer) Engine() *Engine { return s.e }
 
+// Project computes the Eq. 1 eigenmemory weights of one MHM vector
+// (length L) into storage the Scorer owns: the returned slice is
+// overwritten by the Scorer's next Project, Score or ScoreSparse call.
+// Score is Project followed by ScoreReduced, so callers that time the
+// two equations apart run the same arithmetic.
+//
+//mhm:deterministic
+func (s *Scorer) Project(v []float64) ([]float64, error) {
+	if len(v) != s.e.l {
+		return nil, fmt.Errorf("score: vector length %d, want %d: %w", len(v), s.e.l, ErrModel)
+	}
+	s.e.projectInto(s.w, v)
+	return s.w, nil
+}
+
 // Score returns the mixture log density of one MHM vector (length L).
 // Zero allocations in steady state.
 //
 //mhm:deterministic
 func (s *Scorer) Score(v []float64) (float64, error) {
-	if len(v) != s.e.l {
-		return 0, fmt.Errorf("score: vector length %d, want %d: %w", len(v), s.e.l, ErrModel)
+	w, err := s.Project(v)
+	if err != nil {
+		return 0, err
 	}
-	s.e.projectInto(s.w, v)
-	return s.e.mixKernel(s.w, s.y, s.terms), nil
+	return s.ScoreReduced(w)
 }
 
 // ScoreReduced scores an already-projected L'-dimensional weight vector.
